@@ -416,12 +416,12 @@ func BenchmarkConsensusThroughput(b *testing.B) {
 
 // BenchmarkStorageEngine compares the pluggable world-state engines
 // (internal/storage) end-to-end: the full store pipeline running over the
-// seed's single-lock engine vs the sharded lock-striped engine, driven
-// through the core.Config knob. The microbenchmark comparison lives in
+// sharded in-memory engine vs the LSM persist engine, driven through the
+// core.Config knob. The microbenchmark comparison lives in
 // internal/storage and internal/statedb; this run proves the selection
 // threads through core -> fabric -> peer.
 func BenchmarkStorageEngine(b *testing.B) {
-	for _, engine := range []storage.Engine{storage.EngineSingle, storage.EngineSharded} {
+	for _, engine := range []storage.Engine{storage.EngineSharded, storage.EnginePersist} {
 		b.Run(string(engine), func(b *testing.B) {
 			fw, err := core.New(core.Config{
 				Fabric: fabric.Config{

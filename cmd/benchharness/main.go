@@ -9,7 +9,6 @@
 //	bft       BFT fault-tolerance ablation
 //	trust     trust-score evolution ablation
 //	scale     peer-count scalability ablation
-//	storage   world-state engine ablation (single-lock vs sharded)
 //	retrieval retrieval-pipeline ablation (indexed vs scan, concurrent vs
 //	          serial fetch, payload cache on/off)
 //	ingest    ingest-pipeline ablation (serial vs batched endorsement vs
@@ -17,10 +16,9 @@
 //	durability persist-engine ablation (WAL-backed commits vs in-memory,
 //	          recovery time, end-to-end durable-ingest overhead + a
 //	          kill/reopen resume check)
-//	lsm       LSM persist-engine ablation (memtable + SSTables + bloom
-//	          filters vs the map-plus-WAL baseline: ingest rate, cold
-//	          reopen at 10k/200k records, negative-read cost with
-//	          blooms on/off)
+//	lsm       LSM persist-engine figures (memtable + SSTables + bloom
+//	          filters: ingest rate and cold reopen at 10k/200k records,
+//	          hit and miss read cost with blooms on/off)
 //	consensus consensus/crypto hot-path ablation (serial vs batch vs
 //	          cached signature verification, lockstep vs overlapped
 //	          rounds, multi-source e2e ingest with overlap on/off)
@@ -33,10 +31,9 @@
 //	          concurrent scraper, vs fully disabled)
 //	all       everything above
 //
-// The -engine flag selects the world-state storage engine ("single",
-// "sharded", "persist" or "mapwal") for every framework the harness
-// builds, so any
-// figure can be regenerated under any engine. The -transport flag
+// The -engine flag selects the world-state storage engine ("sharded" or
+// "persist") for every framework the harness builds, so any figure can be
+// regenerated under either engine. The -transport flag
 // likewise selects the consensus transport ("inproc" or "tcp") for every
 // framework the harness builds, so any existing figure can be re-measured
 // over the real wire. -out FILE writes the scalar
@@ -81,11 +78,11 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 2,3,4,5,6,bft,trust,scale,storage,retrieval,ingest,durability,lsm,consensus,channels,wire,obs,all")
+	fig := flag.String("fig", "all", "figure to regenerate: 2,3,4,5,6,bft,trust,scale,retrieval,ingest,durability,lsm,consensus,channels,wire,obs,all")
 	samples := flag.Int("samples", 20, "measurements per point")
 	csv := flag.Bool("csv", false, "emit CSV series instead of tables")
 	seed := flag.Int64("seed", 1, "workload seed")
-	engine := flag.String("engine", string(storage.EngineSharded), "world-state storage engine: single, sharded or persist")
+	engine := flag.String("engine", string(storage.EngineSharded), "world-state storage engine: sharded or persist")
 	transportKind := flag.String("transport", "", "consensus transport for figure deployments: inproc (default) or tcp")
 	out := flag.String("out", "", "write recorded scalar metrics as a JSON map to this file")
 	ingestRecords := flag.Int("ingest-records", 10000, "records per mode in the ingest ablation")
@@ -121,10 +118,9 @@ func main() {
 	}
 
 	switch storage.Engine(*engine) {
-	case storage.EngineSingle, storage.EngineSharded, storage.EnginePersist, storage.EngineMapWAL:
+	case storage.EngineSharded, storage.EnginePersist:
 	default:
-		log.Fatalf("unknown engine %q (valid: %s, %s, %s, %s)", *engine,
-			storage.EngineSingle, storage.EngineSharded, storage.EnginePersist, storage.EngineMapWAL)
+		log.Fatalf("unknown engine %q (valid: %s, %s)", *engine, storage.EngineSharded, storage.EnginePersist)
 	}
 	if _, err := transport.ParseKind(*transportKind); err != nil {
 		log.Fatal(err)
@@ -139,7 +135,6 @@ func main() {
 		"bft":        h.bft,
 		"trust":      h.trust,
 		"scale":      h.scale,
-		"storage":    h.storage,
 		"retrieval":  h.retrieval,
 		"ingest":     h.ingest,
 		"durability": h.durability,
@@ -149,7 +144,7 @@ func main() {
 		"wire":       h.wire,
 		"obs":        h.obs,
 	}
-	order := []string{"2", "3", "4", "5", "6", "bft", "trust", "scale", "storage", "retrieval", "ingest", "durability", "lsm", "consensus", "channels", "wire", "obs"}
+	order := []string{"2", "3", "4", "5", "6", "bft", "trust", "scale", "retrieval", "ingest", "durability", "lsm", "consensus", "channels", "wire", "obs"}
 	want := strings.Split(*fig, ",")
 	if *fig == "all" {
 		want = order
@@ -1046,34 +1041,29 @@ func (h *harness) durability() error {
 	return nil
 }
 
-// lsm is the storage-engine ablation behind the persist rewrite: the LSM
-// engine (memtable + SSTables + bloom filters + manifest) against the
-// map-plus-WAL baseline it replaced, measured at the engine level so
-// nothing above storage.KV dilutes the numbers.
+// lsm measures the LSM persist engine (memtable + SSTables + bloom
+// filters + manifest) at the engine level, so nothing above storage.KV
+// dilutes the numbers.
 //
 // Part A — ingest + cold reopen at two scales (10k and 200k records,
-// 20-write batches mirroring block commits). The baseline's reopen
-// replays every record ever written into a fresh map; the LSM replays
-// only the WAL tail behind the last flushed memtable and opens SSTable
-// indexes without touching data blocks, so its reopen cost is O(recent
-// writes) instead of O(total state). lsm_reopen_speedup_x records the
-// 200k-record ratio.
+// 20-write batches mirroring block commits). Reopen replays only the WAL
+// tail behind the last flushed memtable and opens SSTable indexes without
+// touching data blocks, so its cost is O(recent writes) instead of
+// O(total state).
 //
-// Part B — point reads against the reopened 200k-record LSM: hits, and
-// misses with bloom filters on vs off (same on-disk data, reopened with
-// NoBloom). Blooms turn a negative lookup from a block fetch per level
-// into an in-memory test; lsm_negread_bloom_speedup_x records the ratio.
+// Part B — point reads against the reopened 200k-record engine: hits,
+// and misses with bloom filters on vs off (same on-disk data, reopened
+// with NoBloom). Blooms turn a negative lookup from a block fetch per
+// level into an in-memory test; lsm_negread_bloom_speedup_x records the
+// ratio.
 func (h *harness) lsm() error {
-	h.header("Ablation — LSM persist engine vs map-plus-WAL baseline")
+	h.header("LSM persist engine — ingest, cold reopen, point reads")
 
 	const batchKeys = 20
 	// Bench-sized memtable so the 200k run flushes and compacts like a
 	// long-lived node rather than fitting entirely in its first memtable.
 	lsmCfg := func(dir string) storage.Config {
 		return storage.Config{Engine: storage.EnginePersist, Dir: dir, MemtableBytes: 1 << 20}
-	}
-	mapCfg := func(dir string) storage.Config {
-		return storage.Config{Engine: storage.EngineMapWAL, Dir: dir}
 	}
 	key := func(i int) string { return fmt.Sprintf("data\x00rec/%08d", i) }
 	val := func(i int) []byte {
@@ -1091,52 +1081,37 @@ func (h *harness) lsm() error {
 		return float64(n) / time.Since(start).Seconds()
 	}
 
-	type result struct {
-		rps     float64
-		reopenS float64
-	}
 	sizes := []int{10000, 200000}
 	sizeName := []string{"10k", "200k"}
-	var lsmRes, mapRes [2]result
-	var lsmDirs [2]string
+	var rps, reopenS [2]float64
+	var dirs [2]string
 	for si, n := range sizes {
-		for _, eng := range []string{"mapwal", "lsm"} {
-			dir, err := os.MkdirTemp("", "benchharness-lsm-")
-			if err != nil {
-				return err
-			}
-			defer os.RemoveAll(dir)
-			cfg := mapCfg(dir)
-			if eng == "lsm" {
-				cfg = lsmCfg(dir)
-				lsmDirs[si] = dir
-			}
-			kv, err := storage.Open(cfg)
-			if err != nil {
-				return err
-			}
-			rps := ingestKV(kv, n)
-			if err := kv.Close(); err != nil {
-				return err
-			}
-			start := time.Now()
-			kv, err = storage.Open(cfg)
-			if err != nil {
-				return fmt.Errorf("lsm: reopen %s at %d records: %w", eng, n, err)
-			}
-			reopenS := time.Since(start).Seconds()
-			if got := kv.Len(); got != n {
-				return fmt.Errorf("lsm: %s reopened with %d keys, want %d", eng, got, n)
-			}
-			if err := kv.Close(); err != nil {
-				return err
-			}
-			r := result{rps: rps, reopenS: reopenS}
-			if eng == "lsm" {
-				lsmRes[si] = r
-			} else {
-				mapRes[si] = r
-			}
+		dir, err := os.MkdirTemp("", "benchharness-lsm-")
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(dir)
+		dirs[si] = dir
+		cfg := lsmCfg(dir)
+		kv, err := storage.Open(cfg)
+		if err != nil {
+			return err
+		}
+		rps[si] = ingestKV(kv, n)
+		if err := kv.Close(); err != nil {
+			return err
+		}
+		start := time.Now()
+		kv, err = storage.Open(cfg)
+		if err != nil {
+			return fmt.Errorf("lsm: reopen at %d records: %w", n, err)
+		}
+		reopenS[si] = time.Since(start).Seconds()
+		if got := kv.Len(); got != n {
+			return fmt.Errorf("lsm: reopened with %d keys, want %d", got, n)
+		}
+		if err := kv.Close(); err != nil {
+			return err
 		}
 	}
 
@@ -1166,7 +1141,7 @@ func (h *harness) lsm() error {
 		}
 		return time.Since(start).Seconds() / probes * 1e6, nil // µs/op
 	}
-	bloomed := lsmCfg(lsmDirs[1])
+	bloomed := lsmCfg(dirs[1])
 	unbloomed := bloomed
 	unbloomed.NoBloom = true
 	hitUS, err := readLat(bloomed, false)
@@ -1183,13 +1158,9 @@ func (h *harness) lsm() error {
 	}
 
 	for si, name := range sizeName {
-		h.record("lsm_ingest_mapwal_rps_"+name, mapRes[si].rps)
-		h.record("lsm_ingest_persist_rps_"+name, lsmRes[si].rps)
-		h.record("lsm_reopen_mapwal_s_"+name, mapRes[si].reopenS)
-		h.record("lsm_reopen_persist_s_"+name, lsmRes[si].reopenS)
+		h.record("lsm_ingest_persist_rps_"+name, rps[si])
+		h.record("lsm_reopen_persist_s_"+name, reopenS[si])
 	}
-	reopenSpeedup := mapRes[1].reopenS / lsmRes[1].reopenS
-	h.record("lsm_reopen_speedup_x", reopenSpeedup)
 	h.record("lsm_read_hit_us", hitUS)
 	h.record("lsm_read_miss_bloom_us", missBloomUS)
 	h.record("lsm_read_miss_nobloom_us", missNoBloomUS)
@@ -1197,25 +1168,17 @@ func (h *harness) lsm() error {
 	h.record("lsm_negread_bloom_speedup_x", negSpeedup)
 
 	if h.csv {
-		s := &metrics.Series{Label: "lsm_reopen_s"} // x: records; mapwal then lsm
+		s := &metrics.Series{Label: "lsm_reopen_s"} // x: records
 		for si, n := range sizes {
-			s.Append(float64(n), mapRes[si].reopenS)
-		}
-		for si, n := range sizes {
-			s.Append(float64(n), lsmRes[si].reopenS)
+			s.Append(float64(n), reopenS[si])
 		}
 		s.WriteCSV(os.Stdout)
 		return nil
 	}
-	it := metrics.NewTable("engine ingest (20-write batches)", "10k_rps", "200k_rps")
-	it.AddRow("mapwal (map + WAL replay)", mapRes[0].rps, mapRes[1].rps)
-	it.AddRow("lsm (memtable + SSTables)", lsmRes[0].rps, lsmRes[1].rps)
+	it := metrics.NewTable("LSM ingest + cold reopen (20-write batches)", "10k", "200k")
+	it.AddRow("ingest records_per_s", rps[0], rps[1])
+	it.AddRow("reopen_s (WAL tail only)", reopenS[0], reopenS[1])
 	it.Render(os.Stdout)
-	rt := metrics.NewTable("cold reopen", "10k_s", "200k_s")
-	rt.AddRow("mapwal (full replay)", mapRes[0].reopenS, mapRes[1].reopenS)
-	rt.AddRow("lsm (WAL tail only)", lsmRes[0].reopenS, lsmRes[1].reopenS)
-	rt.Render(os.Stdout)
-	fmt.Printf("\nreopen speedup at 200k records: %.1fx\n\n", reopenSpeedup)
 	pt := metrics.NewTable("LSM point reads (200k records)", "us_per_op")
 	pt.AddRow("hit", hitUS)
 	pt.AddRow("miss, blooms on", missBloomUS)
@@ -1653,68 +1616,6 @@ func (h *harness) channels() error {
 	tbl := metrics.NewTable(fmt.Sprintf("channel sharding (%d sources x %d records, LAN)", sources, perSource), "records_per_s", "speedup_vs_1ch")
 	for i, nch := range counts {
 		tbl.AddRow(fmt.Sprintf("%d channel(s)", nch), rps[i], rps[i]/rps[0])
-	}
-	tbl.Render(os.Stdout)
-	return nil
-}
-
-// storage compares the world-state engines directly: sequential and
-// parallel mixed read/commit throughput over a seeded statedb, the
-// microbenchmark behind the internal/storage engine choice. Parallel rows
-// only separate the engines on multi-core hosts; see EXPERIMENTS.md.
-func (h *harness) storage() error {
-	h.header("Ablation — world-state storage engine (single-lock vs sharded)")
-	const (
-		keys        = 10000
-		commitEvery = 16
-	)
-	recKeys := make([]string, keys)
-	for i := range recKeys {
-		recKeys[i] = fmt.Sprintf("rec/%06d", i)
-	}
-	seedDB := func(cfg storage.Config) *statedb.DB {
-		db, err := statedb.NewWith(cfg)
-		if err != nil {
-			log.Fatalf("open statedb: %v", err)
-		}
-		batch := statedb.NewUpdateBatch()
-		for i, k := range recKeys {
-			batch.Put("data", k, []byte(fmt.Sprintf(`{"label":"car","idx":%d}`, i)))
-		}
-		db.ApplyUpdates(batch, statedb.Version{BlockNum: 1})
-		return db
-	}
-	mixed := func(db *statedb.DB, workers, opsPerWorker int) float64 {
-		var wg sync.WaitGroup
-		start := time.Now()
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < opsPerWorker; i++ {
-					if i%commitEvery == commitEvery-1 {
-						batch := statedb.NewUpdateBatch()
-						for j := 0; j < 10; j++ {
-							batch.Put("data", recKeys[(w*opsPerWorker+i*10+j)%keys], []byte(`{"label":"car"}`))
-						}
-						db.ApplyUpdates(batch, statedb.Version{BlockNum: uint64(i)})
-					} else {
-						db.GetState("data", recKeys[(w*31+i*17)%keys])
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		total := float64(workers * opsPerWorker)
-		return total / time.Since(start).Seconds()
-	}
-	ops := 40000 * h.samples / 20
-	tbl := metrics.NewTable("engine", "workers", "mixed_ops_per_s")
-	for _, eng := range []storage.Engine{storage.EngineSingle, storage.EngineSharded} {
-		for _, workers := range []int{1, 4, 16} {
-			db := seedDB(storage.Config{Engine: eng})
-			tbl.AddRow(string(eng), workers, mixed(db, workers, ops/workers))
-		}
 	}
 	tbl.Render(os.Stdout)
 	return nil

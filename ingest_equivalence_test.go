@@ -200,12 +200,12 @@ func checkProvenanceChain(t *testing.T, fw *core.Framework, gw *fabric.Gateway, 
 }
 
 // TestIntegrationIngestEquivalence is the randomized serial-vs-pipelined
-// equivalence gate, run under all three storage engines (the persist legs
+// equivalence gate, run under both storage engines (the persist legs
 // as a durable deployment); a third, overlap-enabled mode proves the
 // overlapped consensus rounds (ConsensusOverlap=4) leave the canonical
 // bytes untouched, and a tcp mode (sharded engine only) reruns the
 // pipelined workload with every consensus and fabric message crossing
-// real localhost sockets. All ten runs must agree on canonical state.
+// real localhost sockets. All seven runs must agree on canonical state.
 func TestIntegrationIngestEquivalence(t *testing.T) {
 	seed := equivalenceSeed(t)
 	t.Logf("equivalence seed %d (pin with SOCIALCHAIN_EQUIV_SEED)", seed)
@@ -214,7 +214,7 @@ func TestIntegrationIngestEquivalence(t *testing.T) {
 
 	var canonical [][]byte
 	var indexCanon []string
-	for _, engine := range []storage.Engine{storage.EngineSingle, storage.EngineSharded, storage.EnginePersist} {
+	for _, engine := range []storage.Engine{storage.EngineSharded, storage.EnginePersist} {
 		modes := []string{"serial-loop", "pipelined", "pipelined-overlap"}
 		if engine == storage.EngineSharded {
 			modes = append(modes, "pipelined-tcp")

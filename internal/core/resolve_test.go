@@ -56,12 +56,12 @@ func TestResolveKeepsExplicitFabricValues(t *testing.T) {
 		t.Fatalf("matching overrides rejected: %v", err)
 	}
 	// Fabric-only settings pass through untouched.
-	only := Config{Fabric: fabric.Config{StateEngine: storage.EngineSingle, NumChannels: 4, ConsensusOverlap: 8}}
+	only := Config{Fabric: fabric.Config{StateEngine: storage.EnginePersist, NumChannels: 4, ConsensusOverlap: 8}}
 	fc, err := only.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fc.StateEngine != storage.EngineSingle || fc.NumChannels != 4 || fc.ConsensusOverlap != 8 {
+	if fc.StateEngine != storage.EnginePersist || fc.NumChannels != 4 || fc.ConsensusOverlap != 8 {
 		t.Fatalf("fabric-level settings mangled: %+v", fc)
 	}
 }
@@ -75,7 +75,7 @@ func TestResolveRejectsConflictingOverrides(t *testing.T) {
 		{
 			name: "storage engine",
 			cfg: Config{
-				StorageEngine: storage.EngineSingle,
+				StorageEngine: storage.EnginePersist,
 				Fabric:        fabric.Config{StateEngine: storage.EngineSharded},
 			},
 			want: "conflicting storage engines",

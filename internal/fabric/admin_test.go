@@ -39,10 +39,8 @@ func TestTracePropagationOverWire(t *testing.T) {
 	}
 
 	// The committed transaction on a peer process must carry the same ID.
+	d.waitAllHeight(channel, res.BlockNum+1, 10*time.Second)
 	for _, n := range d.nodes {
-		if !d.waitNodeHeight(n, channel, 1, 10*time.Second) {
-			t.Fatalf("node %s never committed", n.ID())
-		}
 		blocks, err := d.remote.Blocks(channel, n.ID(), 0)
 		if err != nil {
 			t.Fatalf("blocks from %s: %v", n.ID(), err)

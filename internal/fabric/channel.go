@@ -71,7 +71,7 @@ func newChannel(n *Network, name, dataDir string) (*Channel, error) {
 			Registry:        n.registry,
 			Policy:          n.policy,
 			Watchdog:        ch.watchdog,
-			State:           storage.Config{Engine: cfg.StateEngine, Shards: cfg.StateShards, Durability: cfg.StateDurability},
+			State:           storage.Config{Engine: cfg.StateEngine, Durability: cfg.StateDurability},
 			DataDir:         peerDir,
 			Indexes:         cfg.StateIndexes,
 			VerifyCacheSize: cfg.VerifyCacheSize,

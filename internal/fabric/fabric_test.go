@@ -159,8 +159,15 @@ func TestMVCCConflictFlagged(t *testing.T) {
 	})
 	gw := net.Gateway(newClient(t))
 	// Seed the counter.
-	if _, err := gw.Submit("kv", "put", []byte("ctr"), []byte("0")); err != nil {
+	seed, err := gw.Submit("kv", "put", []byte("ctr"), []byte("0"))
+	if err != nil {
 		t.Fatalf("seed: %v", err)
+	}
+	// Submit returns once the entry peer commits; wait for every endorser
+	// to hold the seed block too, or a lagging quorum endorses a stale read
+	// and both increments conflict.
+	if !net.WaitHeight(seed.BlockNum+1, 10*time.Second) {
+		t.Fatal("peers did not commit the seed block")
 	}
 	// Two concurrent increments read the same version; batched together,
 	// the second must be invalidated with an MVCC conflict.

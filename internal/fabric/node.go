@@ -186,7 +186,7 @@ func (n *Node) buildChannel(name, dataDir string, signers []*msp.Signer, idents 
 		Registry:        n.registry,
 		Policy:          n.policy,
 		Watchdog:        peer.NewWatchdog(net.WatchdogThreshold),
-		State:           storage.Config{Engine: net.StateEngine, Shards: net.StateShards, Durability: net.StateDurability},
+		State:           storage.Config{Engine: net.StateEngine, Durability: net.StateDurability},
 		DataDir:         peerDir,
 		Indexes:         net.StateIndexes,
 		VerifyCacheSize: net.VerifyCacheSize,

@@ -159,6 +159,36 @@ func (d *deployment) waitNodeHeight(n *Node, channel string, height uint64, time
 	return false
 }
 
+// waitAllHeight waits until every node's peer on channel holds at least
+// height blocks and as many as the tallest node (re-read on each poll), so
+// a check that follows sees every replica at the same, final block. On
+// timeout it fails the test with each node's height.
+func (d *deployment) waitAllHeight(channel string, height uint64, timeout time.Duration) {
+	d.t.Helper()
+	deadline := time.Now().Add(timeout)
+	for {
+		heights := make([]uint64, len(d.nodes))
+		target := height
+		for i, n := range d.nodes {
+			if p := n.Peer(channel); p != nil {
+				heights[i] = p.Height()
+			}
+			target = max(target, heights[i])
+		}
+		converged := true
+		for _, h := range heights {
+			converged = converged && h == target
+		}
+		if converged {
+			return
+		}
+		if time.Now().After(deadline) {
+			d.t.Fatalf("nodes did not reach height %d on %s: heights %v", target, channel, heights)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // chainJSON fetches a peer's full chain over RPC as canonical JSON.
 func (d *deployment) chainJSON(channel, peerID string) []byte {
 	d.t.Helper()
@@ -209,10 +239,8 @@ func TestRemoteDeploymentLifecycle(t *testing.T) {
 	}
 
 	// Every process converges to one chain, verified over the wire.
+	d.waitAllHeight(channel, numTx, 15*time.Second)
 	for _, n := range d.nodes {
-		if !d.waitNodeHeight(n, channel, numTx, 15*time.Second) {
-			t.Fatalf("node %s stuck at height %d", n.ID(), n.Peer(channel).Height())
-		}
 		if h, err := d.remote.VerifyChain(channel, n.ID()); err != nil || h < numTx {
 			t.Fatalf("verifychain %s: height %d err %v", n.ID(), h, err)
 		}

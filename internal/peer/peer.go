@@ -442,9 +442,19 @@ func (p *Peer) SubscribeEvents(buffer int) <-chan chaincode.Event {
 // committing the same ordered batch assembles a byte-identical block, so
 // independently running processes converge on one chain, not merely on
 // equivalent chains.
+//
+// A batch already on the chain — the same transactions in the same order,
+// synced from another replica by SyncFrom before consensus delivered it
+// here — is not committed again at the next height, which would fork this
+// replica's chain from the others': CommitBatch returns the existing
+// block. The check runs under the commit lock SyncFrom takes, so the two
+// paths cannot interleave.
 func (p *Peer) CommitBatch(txs []ledger.Transaction) (*ledger.Block, error) {
 	p.commitMu.Lock()
 	defer p.commitMu.Unlock()
+	if b := p.committedBatch(txs); b != nil {
+		return b, nil
+	}
 	number := p.ledger.Height()
 	block := ledger.NewBlock(number, p.ledger.TipHash(), txs, batchTimestamp(txs))
 	vStart := time.Now()
@@ -480,6 +490,27 @@ func (p *Peer) CommitBatch(txs []ledger.Transaction) (*ledger.Block, error) {
 		}
 	}
 	return block, nil
+}
+
+// committedBatch returns the block holding exactly txs, or nil.
+func (p *Peer) committedBatch(txs []ledger.Transaction) *ledger.Block {
+	if len(txs) == 0 {
+		return nil
+	}
+	_, _, num, err := p.ledger.GetTx(txs[0].ID)
+	if err != nil {
+		return nil
+	}
+	b, err := p.ledger.GetBlock(num)
+	if err != nil || len(b.Txs) != len(txs) {
+		return nil
+	}
+	for i := range txs {
+		if b.Txs[i].ID != txs[i].ID {
+			return nil
+		}
+	}
+	return b
 }
 
 // batchTimestamp returns the latest client timestamp in the batch — a

@@ -137,3 +137,41 @@ func TestSyncedPeerCanContinueCommitting(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCommitBatchSkipsSyncedBatch: a replica that synced a block from a
+// faster peer before consensus delivered the same batch locally must not
+// commit that batch again as a second block — its chain would fork from
+// every other replica's.
+func TestCommitBatchSkipsSyncedBatch(t *testing.T) {
+	a, b, client := twinPeers(t)
+	prop := propose(t, client, "incr", []byte("ctr"))
+	resp, err := a.Endorse(prop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []ledger.Transaction{envelope(t, client, prop, resp)}
+	want, err := a.CommitBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.SyncFrom(a); err != nil {
+		t.Fatal(err)
+	}
+	got, err := b.CommitBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Header.Number != want.Header.Number || b.Height() != a.Height() {
+		t.Fatalf("re-delivered batch committed as block %d, height %d; want block %d, height %d",
+			got.Header.Number, b.Height(), want.Header.Number, a.Height())
+	}
+	// A batch not yet on the chain still commits.
+	commitOn(t, a, client, "ctr")
+	next := a.Ledger().BlocksFrom(a.Height() - 1)[0]
+	if _, err := b.CommitBatch(next.Txs); err != nil {
+		t.Fatal(err)
+	}
+	if b.Height() != a.Height() || b.Ledger().TipHash() != a.Ledger().TipHash() {
+		t.Fatalf("chains diverged: heights %d/%d", b.Height(), a.Height())
+	}
+}

@@ -15,7 +15,6 @@ var benchEngines = []struct {
 	name string
 	cfg  func(b *testing.B) storage.Config
 }{
-	{"single", func(*testing.B) storage.Config { return storage.Config{Engine: storage.EngineSingle} }},
 	{"sharded", func(*testing.B) storage.Config { return storage.Config{Engine: storage.EngineSharded} }},
 	{"persist", func(b *testing.B) storage.Config {
 		return storage.Config{Engine: storage.EnginePersist, Dir: b.TempDir()}
@@ -28,6 +27,7 @@ func seededBenchDB(b *testing.B, cfg storage.Config, keys int) *DB {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(func() { db.Close() })
 	batch := NewUpdateBatch()
 	for i := 0; i < keys; i++ {
 		doc := fmt.Sprintf(`{"label":"car","confidence":%f,"idx":%d}`, float64(i%100)/100, i)
@@ -65,6 +65,7 @@ func BenchmarkApplyUpdates(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.Cleanup(func() { db.Close() })
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				batch := NewUpdateBatch()
@@ -116,6 +117,7 @@ func seededIndexedBenchDB(b *testing.B, cfg storage.Config, keys int) *DB {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(func() { db.Close() })
 	batch := NewUpdateBatch()
 	for i := 0; i < keys; i++ {
 		doc := fmt.Sprintf(`{"label":"label-%02d","meta":{"camera":"cam-%d"},"at":"2026-07-%02dT10:00:00Z","idx":%d}`,

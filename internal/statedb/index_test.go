@@ -27,6 +27,7 @@ func indexedTestDB(t *testing.T, cfg storage.Config) *DB {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { db.Close() })
 	return db
 }
 
@@ -206,12 +207,11 @@ func TestRestoreRebuildsIndexes(t *testing.T) {
 
 func TestExecuteQueryShortCircuitEqualsScan(t *testing.T) {
 	for _, engCfg := range []storage.Config{
-		{Engine: storage.EngineSingle},
 		{Engine: storage.EngineSharded},
 		{Engine: storage.EnginePersist, Dir: t.TempDir()},
 	} {
 		db := indexedTestDB(t, engCfg)
-		plain, err := NewWith(storage.Config{Engine: storage.EngineSingle}) // index-free twin: always scans
+		plain, err := NewWith(storage.Config{Engine: storage.EngineSharded}) // index-free twin: always scans
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,10 +6,8 @@ package storage
 // sorted memtable; full memtables flush into immutable SSTables (see
 // sstable.go); a crash-safe manifest (manifest.go) names the live tables;
 // a background compactor merges runs level by level, dropping shadowed
-// versions and tombstones. The previous persist engine (now mapwal.go)
-// kept the whole key space in RAM and replayed the entire history at
-// open; here RAM holds one memtable and reopen replays only the WAL tail
-// over the manifest — O(recent writes), not O(total state).
+// versions and tombstones. RAM holds one memtable and reopen replays only
+// the WAL tail over the manifest — O(recent writes), not O(total state).
 //
 // On-disk layout inside Config.Dir:
 //
@@ -21,10 +19,19 @@ package storage
 //
 // WAL files are numbered contiguously (1, 2, 3, ...) so recovery can
 // detect a lost file in the replay range; SSTables draw from a separate
-// monotonic counter persisted in the manifest. The WAL record format is
-// byte-identical to mapwal's (walframe framing, the uvarint op encoding
-// of mapwal.go), including the torn-tail-vs-corrupt recovery
-// discriminator — walframe.RecoverTail.
+// monotonic counter persisted in the manifest.
+//
+// WAL record framing (shared with the ledger's block log — see
+// internal/walframe):
+//
+//	[4B big-endian payload length][4B IEEE CRC32 of payload][payload]
+//
+// Payload: uvarint write-count, then per write an op byte (0 put,
+// 1 delete), uvarint key length, key bytes and, for puts, uvarint value
+// length plus value bytes. One ApplyBatch is one record, so after a
+// crash either the whole batch is recovered or none of it. A torn tail
+// on the last WAL file is truncated; corruption anywhere else is fatal
+// (walframe.RecoverTail is the discriminator).
 //
 // Reads merge newest-to-oldest: active memtable, flushing memtable, then
 // level 0 downwards, newest table first within a level; the first
@@ -59,6 +66,7 @@ package storage
 // a possibly-wrong value; at open it is a refusal to start.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -81,6 +89,17 @@ const (
 	DefaultCompactFanout = 4
 	// DefaultFsyncInterval is DurabilityBatch's group-commit period.
 	DefaultFsyncInterval = 5 * time.Millisecond
+
+	segPrefix = "wal-"
+	segSuffix = ".log"
+	// snapPrefix/snapSuffix name the snapshot files of the map-plus-WAL
+	// format earlier builds wrote; their presence makes open refuse the
+	// directory (see recover).
+	snapPrefix = "snap-"
+	snapSuffix = ".db"
+
+	opPut    = 0
+	opDelete = 1
 )
 
 // lsmStats aggregates the engine's observability counters (plain
@@ -290,13 +309,7 @@ func OpenPersist(cfg Config) (*Persist, error) {
 	p.flushCond = sync.NewCond(&p.mu)
 	p.commit.cond = sync.NewCond(&p.commit.mu)
 	if p.memLimit <= 0 {
-		p.memLimit = cfg.SegmentBytes // old-engine knob, same meaning here
-	}
-	if p.memLimit <= 0 {
 		p.memLimit = DefaultMemtableBytes
-	}
-	if p.fanout <= 0 {
-		p.fanout = cfg.CompactSegments
 	}
 	if p.fanout <= 0 {
 		p.fanout = DefaultCompactFanout
@@ -330,12 +343,12 @@ func (p *Persist) walPath(idx uint64) string {
 }
 
 // scanDir inventories the data directory: WAL indices (sorted), table
-// file numbers, whether mapwal snapshots are present; temp files are
-// deleted.
-func (p *Persist) scanDir() (wals []uint64, ssts map[uint64]bool, hasSnaps bool, err error) {
+// file numbers, the first map-plus-WAL snapshot file found (if any);
+// temp files are deleted.
+func (p *Persist) scanDir() (wals []uint64, ssts map[uint64]bool, snap string, err error) {
 	entries, err := os.ReadDir(p.dir)
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("storage: persist scan %s: %w", p.dir, err)
+		return nil, nil, "", fmt.Errorf("storage: persist scan %s: %w", p.dir, err)
 	}
 	ssts = make(map[uint64]bool)
 	for _, e := range entries {
@@ -352,18 +365,20 @@ func (p *Persist) scanDir() (wals []uint64, ssts map[uint64]bool, hasSnaps bool,
 				ssts[no] = true
 			}
 		case strings.HasPrefix(name, snapPrefix) && strings.HasSuffix(name, snapSuffix):
-			hasSnaps = true
+			if snap == "" {
+				snap = name
+			}
 		}
 	}
 	sort.Slice(wals, func(i, j int) bool { return wals[i] < wals[j] })
-	return wals, ssts, hasSnaps, nil
+	return wals, ssts, snap, nil
 }
 
 // recover loads the manifest, opens the live tables, deletes orphans of
 // interrupted flushes/compactions, and replays the WAL tail into the
 // memtable. Reopen cost is O(tables + WAL tail), not O(total state).
 func (p *Persist) recover() error {
-	wals, ssts, hasSnaps, err := p.scanDir()
+	wals, ssts, snap, err := p.scanDir()
 	if err != nil {
 		return err
 	}
@@ -373,12 +388,14 @@ func (p *Persist) recover() error {
 	}
 	var levels [][]*table
 	if !haveManifest {
-		if hasSnaps {
-			return fmt.Errorf("storage: persist %s holds %s-format data (%s* snapshots); open it with engine %q",
-				p.dir, EngineMapWAL, snapPrefix, EngineMapWAL)
+		if snap != "" {
+			// A snapshot holds state the WAL no longer does; replaying
+			// the WAL alone would silently drop it.
+			return fmt.Errorf("storage: persist %s: found %s, a snapshot in the map-plus-WAL format, which this build cannot read",
+				p.dir, filepath.Join(p.dir, snap))
 		}
-		// Fresh directory, or a snapshot-free mapwal directory (same WAL
-		// format): every sst file is an orphan; replay all WALs below.
+		// Fresh directory, or one holding only WAL files: every sst file
+		// is an orphan; replay all WALs below.
 		for no := range ssts {
 			_ = os.Remove(sstPath(p.dir, no))
 		}
@@ -495,6 +512,88 @@ func (p *Persist) replayWAL(idx uint64, last bool) error {
 		}
 	}
 	return nil
+}
+
+// parseRecords splits a WAL image into its CRC-validated record
+// payloads. good is the byte offset just past the last valid record; err
+// is non-nil when framing or CRC validation failed there.
+func parseRecords(data []byte) (recs [][]byte, good int, err error) {
+	off := 0
+	for off < len(data) {
+		payload, next, perr := walframe.Next(data, off)
+		if perr != nil {
+			return recs, off, perr
+		}
+		recs = append(recs, payload)
+		off = next
+	}
+	return recs, off, nil
+}
+
+// decodeRecord walks one log record's writes, invoking apply per write
+// (value bytes are copied out of rec).
+func decodeRecord(rec []byte, apply func(key string, val []byte, del bool)) error {
+	count, n := binary.Uvarint(rec)
+	if n <= 0 {
+		return fmt.Errorf("bad record: write count")
+	}
+	rec = rec[n:]
+	for i := uint64(0); i < count; i++ {
+		if len(rec) == 0 {
+			return fmt.Errorf("bad record: short write %d", i)
+		}
+		op := rec[0]
+		rec = rec[1:]
+		klen, n := binary.Uvarint(rec)
+		if n <= 0 || uint64(len(rec)-n) < klen {
+			return fmt.Errorf("bad record: key length")
+		}
+		key := string(rec[n : n+int(klen)])
+		rec = rec[n+int(klen):]
+		switch op {
+		case opDelete:
+			apply(key, nil, true)
+		case opPut:
+			vlen, n := binary.Uvarint(rec)
+			if n <= 0 || uint64(len(rec)-n) < vlen {
+				return fmt.Errorf("bad record: value length")
+			}
+			val := make([]byte, vlen)
+			copy(val, rec[n:n+int(vlen)])
+			rec = rec[n+int(vlen):]
+			apply(key, val, false)
+		default:
+			return fmt.Errorf("bad record: op %d", op)
+		}
+	}
+	if len(rec) != 0 {
+		return fmt.Errorf("bad record: %d trailing bytes", len(rec))
+	}
+	return nil
+}
+
+// appendRecordFrame appends one framed record holding writes to buf and
+// returns the extended slice.
+func appendRecordFrame(buf []byte, writes []Write) []byte {
+	start := len(buf)
+	buf = append(buf, make([]byte, walframe.HeaderLen)...) // header placeholder
+	buf = binary.AppendUvarint(buf, uint64(len(writes)))
+	for i := range writes {
+		w := &writes[i]
+		if w.Delete {
+			buf = append(buf, opDelete)
+			buf = binary.AppendUvarint(buf, uint64(len(w.Key)))
+			buf = append(buf, w.Key...)
+			continue
+		}
+		buf = append(buf, opPut)
+		buf = binary.AppendUvarint(buf, uint64(len(w.Key)))
+		buf = append(buf, w.Key...)
+		buf = binary.AppendUvarint(buf, uint64(len(w.Value)))
+		buf = append(buf, w.Value...)
+	}
+	walframe.Seal(buf[start:])
+	return buf
 }
 
 // applyReplay re-applies one recovered write through the same

@@ -361,6 +361,28 @@ func TestLSMWALMidLogCorruptionIsFatal(t *testing.T) {
 	}
 }
 
+// TestLSMSealedWALCorruptionIsFatal: a torn record is tolerated only at
+// the end of the LAST WAL file. The same damage in an earlier file sits
+// in front of committed writes, so open must refuse instead of dropping
+// them.
+func TestLSMSealedWALCorruptionIsFatal(t *testing.T) {
+	dir := t.TempDir()
+	sealed := appendRecordFrame(nil, []Write{{Key: "a", Value: []byte("1")}})
+	sealed = appendRecordFrame(sealed, []Write{{Key: "b", Value: []byte("2")}})
+	sealed = sealed[:len(sealed)-1] // tear the second record
+	active := appendRecordFrame(nil, []Write{{Key: "c", Value: []byte("3")}})
+	for idx, data := range map[uint64][]byte{1: sealed, 2: active} {
+		name := fmt.Sprintf("%s%016x%s", segPrefix, idx, segSuffix)
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p, err := OpenPersist(Config{Dir: dir}); err == nil {
+		p.Close()
+		t.Fatal("torn record in a sealed wal file recovered silently")
+	}
+}
+
 // buildTabled creates an LSM dir whose state is spread across SSTables
 // (tiny memtable) and returns the expected contents.
 func buildTabled(t *testing.T, dir string) map[string]string {
@@ -622,29 +644,26 @@ func TestLSMAppendAfterTornTail(t *testing.T) {
 }
 
 // TestLSMRefusesMapwalDirectory: pointing the LSM at a directory holding
-// mapwal snapshots must be a descriptive error, not a silent partial
-// recovery of the shared-format WAL without the snapshot's contents.
+// a snapshot of the map-plus-WAL format earlier builds wrote must be a
+// descriptive error naming the file, not a silent partial recovery of the
+// shared-format WAL without the snapshot's contents.
 func TestLSMRefusesMapwalDirectory(t *testing.T) {
 	dir := t.TempDir()
-	mw, err := OpenMapWAL(Config{Dir: dir, SegmentBytes: 512, CompactSegments: 2})
-	if err != nil {
+	snap := filepath.Join(dir, fmt.Sprintf("%s%016x%s", snapPrefix, 3, snapSuffix))
+	wal := filepath.Join(dir, fmt.Sprintf("%s%016x%s", segPrefix, 3, segSuffix))
+	if err := os.WriteFile(snap, appendRecordFrame(nil, []Write{{Key: "old", Value: []byte("v")}}), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 60; i++ {
-		mw.Put(fmt.Sprintf("k%02d", i), []byte(strings.Repeat("v", 64)))
-	}
-	if err := mw.Close(); err != nil {
+	if err := os.WriteFile(wal, appendRecordFrame(nil, []Write{{Key: "new", Value: []byte("v")}}), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if len(dirFiles(t, dir, snapPrefix, snapSuffix)) == 0 {
-		t.Fatal("mapwal workload cut no snapshot")
-	}
-	_, err = OpenPersist(Config{Dir: dir})
+	p, err := OpenPersist(Config{Dir: dir})
 	if err == nil {
-		t.Fatal("LSM opened a mapwal directory silently")
+		p.Close()
+		t.Fatal("LSM opened a map-plus-WAL snapshot directory silently")
 	}
-	if !strings.Contains(err.Error(), string(EngineMapWAL)) {
-		t.Fatalf("error %q does not point at the mapwal engine", err)
+	if !strings.Contains(err.Error(), snap) || !strings.Contains(err.Error(), "map-plus-WAL") {
+		t.Fatalf("error %q does not name the snapshot file and its format", err)
 	}
 }
 

@@ -7,7 +7,11 @@ package storage
 // stresses. Batched commits group writes by stripe and take each stripe
 // lock exactly once per block.
 
-import "sync"
+import (
+	"sort"
+	"strings"
+	"sync"
+)
 
 // shard is one lock stripe. The pad keeps neighbouring stripes off one
 // cache line so uncontended locks do not false-share.
@@ -179,4 +183,25 @@ func (s *Sharded) Len() int {
 		sh.mu.RUnlock()
 	}
 	return n
+}
+
+// entry is one collected (key, value) pair of an iteration.
+type entry struct {
+	key   string
+	value []byte
+}
+
+// collectPrefix appends all prefix-matching pairs of data to dst. Caller
+// holds the lock guarding data.
+func collectPrefix(data map[string][]byte, prefix string, dst []entry) []entry {
+	for k, v := range data {
+		if strings.HasPrefix(k, prefix) {
+			dst = append(dst, entry{key: k, value: v})
+		}
+	}
+	return dst
+}
+
+func sortEntries(entries []entry) {
+	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
 }

@@ -1,14 +1,12 @@
 // Package storage provides the pluggable key-value engine beneath the
 // repo's stateful layers: the world-state database, the history database
 // and the CID-addressed blockstore all sit on the KV interface instead of
-// owning a map and a global lock. Four engines implement it: a
-// single-lock map (the seed's behaviour, kept as the determinism
-// baseline), a lock-striped sharded engine whose per-shard locks let
+// owning a map and a global lock. Two engines implement it, one of each
+// kind: a lock-striped in-memory engine whose per-shard locks let
 // concurrent reads and batched commits proceed in parallel — the hot path
-// of the paper's store/retrieve evaluation — an LSM-tree disk engine
+// of the paper's store/retrieve evaluation — and an LSM-tree disk engine
 // whose contents survive process restarts with reopen cost proportional
-// to the WAL tail (see lsm.go), and the previous map-plus-WAL disk
-// engine, retained as the ablation baseline for the LSM (see mapwal.go).
+// to the WAL tail (see lsm.go).
 package storage
 
 import (
@@ -52,7 +50,7 @@ type KV interface {
 	// Len returns the number of stored keys.
 	Len() int
 	// Sync flushes buffered writes to stable storage. A no-op for the
-	// in-memory engines.
+	// in-memory engine.
 	Sync() error
 	// Close releases the engine's resources after a final Sync. Operations
 	// after Close are undefined; Close is idempotent.
@@ -63,10 +61,6 @@ type KV interface {
 type Engine string
 
 const (
-	// EngineSingle is the seed's one-map, one-RWMutex engine. Every commit
-	// excludes every read; kept for determinism baselines and as the
-	// reference in cross-engine equivalence tests.
-	EngineSingle Engine = "single"
 	// EngineSharded is the lock-striped engine: N shards by key hash, a
 	// RWMutex per shard, batched commits grouped by shard. The production
 	// default.
@@ -77,11 +71,6 @@ const (
 	// survive restarts; reopen replays only the WAL tail, so recovery cost
 	// is proportional to recent writes, not total state.
 	EnginePersist Engine = "persist"
-	// EngineMapWAL is the previous durable engine: one in-memory map
-	// behind a segmented write-ahead log with periodic full snapshots.
-	// RAM and reopen cost grow with total state; retained as the ablation
-	// baseline the `benchharness -fig lsm` comparison measures against.
-	EngineMapWAL Engine = "mapwal"
 )
 
 // Durability selects the persist engine's fsync policy — the window of
@@ -119,31 +108,25 @@ const DefaultShards = 16
 type Config struct {
 	// Engine picks the implementation (default EngineSharded).
 	Engine Engine
-	// Shards sets the sharded engine's stripe count, rounded up to a power
-	// of two (default DefaultShards). Ignored by the other engines.
-	Shards int
-	// Dir is the disk engines' data directory (created if absent). When
-	// empty, they materialise a fresh temporary directory — durable for
+	// Dir is the persist engine's data directory (created if absent). When
+	// empty, it materialises a fresh temporary directory — durable for
 	// the life of the process, discarded by the OS afterwards — so the CI
 	// engine matrix can force EnginePersist through EngineEnvVar without
 	// threading paths into every constructor. Ignored by the in-memory
-	// engines.
+	// engine.
 	Dir string
 	// Durability picks the persist engine's fsync policy (default
 	// DurabilityNone; see the Durability constants for the loss windows).
-	// DurabilityEnvVar overrides an empty value. Ignored by the other
-	// engines — mapwal keeps its page-cache-only behaviour.
+	// DurabilityEnvVar overrides an empty value. Ignored by the in-memory
+	// engine.
 	Durability Durability
 	// MemtableBytes is the persist engine's memtable flush threshold: once
 	// the active memtable holds this many bytes it is flushed to an
-	// SSTable (default DefaultMemtableBytes, or SegmentBytes when that is
-	// set — tests sized for the old engine's rotation keep forcing
-	// flushes).
+	// SSTable (default DefaultMemtableBytes).
 	MemtableBytes int64
 	// CompactFanout is the persist engine's per-level run budget: once a
 	// level accumulates this many SSTables they are merged into one run on
-	// the next level (default DefaultCompactFanout, or CompactSegments
-	// when that is set).
+	// the next level (default DefaultCompactFanout).
 	CompactFanout int
 	// FsyncInterval bounds DurabilityBatch's loss window (default
 	// DefaultFsyncInterval). Ignored by the other durability modes.
@@ -152,15 +135,6 @@ type Config struct {
 	// lookups always touch table blocks. A benchmarking knob for the
 	// `-fig lsm` ablation; leave unset in production.
 	NoBloom bool
-	// SegmentBytes rotates the mapwal engine's active log segment once it
-	// exceeds this size (default DefaultSegmentBytes). For the persist
-	// engine it is a compatibility alias for MemtableBytes.
-	SegmentBytes int64
-	// CompactSegments triggers the mapwal engine's snapshot compaction
-	// once this many sealed segments accumulate (default
-	// DefaultCompactSegments). For the persist engine it is a
-	// compatibility alias for CompactFanout.
-	CompactSegments int
 }
 
 // Sub returns a copy of cfg whose Dir is the named sub-directory of
@@ -176,7 +150,7 @@ func (c Config) Sub(name string) Config {
 
 // EngineEnvVar overrides the engine an empty Config.Engine selects, so a
 // full test run can be pinned to one engine without threading a flag
-// through every constructor (the CI matrix runs the suite under all of
+// through every constructor (the CI matrix runs the suite under each of
 // them).
 const EngineEnvVar = "SOCIALCHAIN_STORAGE_ENGINE"
 
@@ -192,11 +166,11 @@ const DurabilityEnvVar = "SOCIALCHAIN_STORAGE_DURABILITY"
 func envEngine() (Engine, error) {
 	v := os.Getenv(EngineEnvVar)
 	switch e := Engine(v); e {
-	case "", EngineSingle, EngineSharded, EnginePersist, EngineMapWAL:
+	case "", EngineSharded, EnginePersist:
 		return e, nil
 	default:
-		return "", fmt.Errorf("storage: unknown %s value %q (valid: %s, %s, %s, %s)",
-			EngineEnvVar, v, EngineSingle, EngineSharded, EnginePersist, EngineMapWAL)
+		return "", fmt.Errorf("storage: unknown %s value %q (valid: %s, %s)",
+			EngineEnvVar, v, EngineSharded, EnginePersist)
 	}
 }
 
@@ -255,17 +229,13 @@ func Open(cfg Config) (KV, error) {
 		engine = e
 	}
 	switch engine {
-	case EngineSingle:
-		return NewSingle(), nil
 	case EngineSharded:
-		return NewSharded(cfg.Shards), nil
+		return NewSharded(DefaultShards), nil
 	case EnginePersist:
 		return OpenPersist(cfg)
-	case EngineMapWAL:
-		return OpenMapWAL(cfg)
 	default:
-		return nil, fmt.Errorf("storage: unknown engine %q (valid: %s, %s, %s, %s)",
-			engine, EngineSingle, EngineSharded, EnginePersist, EngineMapWAL)
+		return nil, fmt.Errorf("storage: unknown engine %q (valid: %s, %s)",
+			engine, EngineSharded, EnginePersist)
 	}
 }
 

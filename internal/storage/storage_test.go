@@ -10,40 +10,43 @@ import (
 )
 
 // engines returns one fresh instance of every engine under a stable label.
+// Each is closed when the test ends, before its directory is removed: a
+// persist engine left open keeps flushing into a directory its TempDir
+// cleanup is deleting.
 func engines(tb testing.TB) map[string]KV {
 	persist, err := OpenPersist(Config{Dir: tb.TempDir()})
 	if err != nil {
 		tb.Fatalf("open persist: %v", err)
 	}
+	closeAtEnd(tb, "persist", persist)
 	// A tiny memtable and fanout force flushes and compactions even under
 	// small workloads, so the SSTable read path is exercised everywhere.
 	persistSmall, err := OpenPersist(Config{Dir: tb.TempDir(), MemtableBytes: 256, CompactFanout: 2})
 	if err != nil {
 		tb.Fatalf("open persist-small: %v", err)
 	}
-	mapwal, err := OpenMapWAL(Config{Dir: tb.TempDir()})
-	if err != nil {
-		tb.Fatalf("open mapwal: %v", err)
-	}
+	closeAtEnd(tb, "persist-small", persistSmall)
 	return map[string]KV{
-		"single":        NewSingle(),
 		"sharded":       NewSharded(0),
 		"sharded-1":     NewSharded(1), // degenerate stripe count must still behave
 		"persist":       persist,
 		"persist-small": persistSmall,
-		"mapwal":        mapwal,
 	}
 }
 
+// closeAtEnd closes kv when tb ends (Close is idempotent, so an explicit
+// earlier Close is fine) and fails tb if that Close reports an error.
+func closeAtEnd(tb testing.TB, name string, kv KV) {
+	tb.Cleanup(func() {
+		if err := kv.Close(); err != nil {
+			tb.Errorf("close %s: %v", name, err)
+		}
+	})
+}
+
 func TestOpenSelectsEngine(t *testing.T) {
-	kv, err := Open(Config{Engine: EngineSingle})
+	kv, err := Open(Config{Engine: EngineSharded})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := kv.(*Single); !ok {
-		t.Fatal("EngineSingle did not open a Single")
-	}
-	if kv, err = Open(Config{Engine: EngineSharded}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := kv.(*Sharded); !ok {
@@ -83,7 +86,7 @@ func TestOpenRejectsUnknownEnvEngine(t *testing.T) {
 		t.Fatalf("error %q does not name the env var", err)
 	}
 	// Explicit configs are never affected by the override.
-	if _, err := Open(Config{Engine: EngineSingle}); err != nil {
+	if _, err := Open(Config{Engine: EngineSharded}); err != nil {
 		t.Fatalf("explicit engine rejected under bad env override: %v", err)
 	}
 }
@@ -308,22 +311,68 @@ func dump(kv KV) []entry {
 	return out
 }
 
-// TestEngineEquivalence drives every engine through identical op sequences
-// and requires identical final state, iteration order, lengths and point
-// reads — the contract that lets the sharded (and now persist) engine
-// replace the single-lock one under every store. The persist engine is
-// additionally closed and reopened from its directory after the workload:
-// the recovered state must match too.
+// model is the reference the engines are checked against: a plain map
+// with sorted iteration, simple enough to be right by inspection.
+type model map[string][]byte
+
+func (m model) Get(key string) ([]byte, bool) {
+	v, ok := m[key]
+	return v, ok
+}
+
+func (m model) Put(key string, value []byte) bool {
+	_, existed := m[key]
+	m[key] = value
+	return !existed
+}
+
+func (m model) Delete(key string) ([]byte, bool) {
+	v, ok := m[key]
+	delete(m, key)
+	return v, ok
+}
+
+func (m model) IterPrefix(prefix string, fn func(key string, value []byte) bool) {
+	entries := collectPrefix(m, prefix, nil)
+	sortEntries(entries)
+	for _, e := range entries {
+		if !fn(e.key, e.value) {
+			return
+		}
+	}
+}
+
+func (m model) ApplyBatch(writes []Write) {
+	for _, w := range writes {
+		if w.Delete {
+			delete(m, w.Key)
+		} else {
+			m[w.Key] = w.Value
+		}
+	}
+}
+
+func (m model) Len() int     { return len(m) }
+func (m model) Sync() error  { return nil }
+func (m model) Close() error { return nil }
+
+// TestEngineEquivalence drives every engine and the reference model
+// through identical op sequences and requires identical final state,
+// iteration order, lengths and point reads — the contract that lets any
+// engine sit under any store. The persist engines are additionally closed
+// and reopened from their directories after the workload: the recovered
+// state must match too.
 func TestEngineEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		dir := t.TempDir()
-		mapwalDir := t.TempDir()
-		single := NewSingle()
+		ref := model{}
 		sharded := NewSharded(8)
-		persist, err := OpenPersist(Config{Dir: dir, SegmentBytes: 4 << 10})
+		sharded1 := NewSharded(1)
+		dir := t.TempDir()
+		persist, err := OpenPersist(Config{Dir: dir, MemtableBytes: 4 << 10})
 		if err != nil {
 			t.Fatal(err)
 		}
+		closeAtEnd(t, "persist", persist)
 		// A 1 KiB memtable with fanout 2 flushes and compacts constantly,
 		// so the reopened state crosses memtable, L0 and deeper levels.
 		smallDir := t.TempDir()
@@ -331,16 +380,13 @@ func TestEngineEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mapwal, err := OpenMapWAL(Config{Dir: mapwalDir, SegmentBytes: 4 << 10})
-		if err != nil {
-			t.Fatal(err)
-		}
+		closeAtEnd(t, "persist-small", small)
 		for _, o := range randomOps(seed, 600) {
-			apply(single, o)
+			apply(ref, o)
 			apply(sharded, o)
+			apply(sharded1, o)
 			apply(persist, o)
 			apply(small, o)
-			apply(mapwal, o)
 		}
 		if err := persist.Close(); err != nil {
 			t.Fatalf("seed %d: close persist: %v", seed, err)
@@ -348,59 +394,51 @@ func TestEngineEquivalence(t *testing.T) {
 		if err := small.Close(); err != nil {
 			t.Fatalf("seed %d: close persist-small: %v", seed, err)
 		}
-		if err := mapwal.Close(); err != nil {
-			t.Fatalf("seed %d: close mapwal: %v", seed, err)
-		}
-		reopened, err := OpenPersist(Config{Dir: dir, SegmentBytes: 4 << 10})
+		reopened, err := OpenPersist(Config{Dir: dir, MemtableBytes: 4 << 10})
 		if err != nil {
 			t.Fatalf("seed %d: reopen persist: %v", seed, err)
 		}
+		closeAtEnd(t, "reopened persist", reopened)
 		reopenedSmall, err := OpenPersist(Config{Dir: smallDir, MemtableBytes: 1 << 10, CompactFanout: 2})
 		if err != nil {
 			t.Fatalf("seed %d: reopen persist-small: %v", seed, err)
 		}
-		reopenedMapwal, err := OpenMapWAL(Config{Dir: mapwalDir, SegmentBytes: 4 << 10})
-		if err != nil {
-			t.Fatalf("seed %d: reopen mapwal: %v", seed, err)
-		}
-		others := map[string]KV{
+		closeAtEnd(t, "reopened persist-small", reopenedSmall)
+		kvs := map[string]KV{
 			"sharded":       sharded,
+			"sharded-1":     sharded1,
 			"persist":       reopened,
 			"persist-small": reopenedSmall,
-			"mapwal":        reopenedMapwal,
 		}
-		for name, kv := range others {
-			if single.Len() != kv.Len() {
-				t.Fatalf("seed %d: Len single=%d %s=%d", seed, single.Len(), name, kv.Len())
+		for name, kv := range kvs {
+			if ref.Len() != kv.Len() {
+				t.Fatalf("seed %d: Len model=%d %s=%d", seed, ref.Len(), name, kv.Len())
 			}
 		}
-		ds := dump(single)
-		for name, kv := range others {
+		dm := dump(ref)
+		for name, kv := range kvs {
 			dh := dump(kv)
-			if !reflect.DeepEqual(ds, dh) {
-				t.Fatalf("seed %d: state diverged:\nsingle: %v\n%s: %v", seed, ds, name, dh)
+			if !reflect.DeepEqual(dm, dh) {
+				t.Fatalf("seed %d: state diverged:\nmodel: %v\n%s: %v", seed, dm, name, dh)
 			}
-			for _, e := range ds {
-				sv, sok := single.Get(e.key)
+			for _, e := range dm {
+				mv, mok := ref.Get(e.key)
 				hv, hok := kv.Get(e.key)
-				if sok != hok || string(sv) != string(hv) {
-					t.Fatalf("seed %d: Get(%q) single=%q/%v %s=%q/%v", seed, e.key, sv, sok, name, hv, hok)
+				if mok != hok || string(mv) != string(hv) {
+					t.Fatalf("seed %d: Get(%q) model=%q/%v %s=%q/%v", seed, e.key, mv, mok, name, hv, hok)
 				}
 			}
 			// Prefix iteration must agree too, not just the full dump.
 			for _, prefix := range []string{"ns0\x00", "ns1\x00key/0", "ns2\x00key/11"} {
-				var ks, kh []string
-				single.IterPrefix(prefix, func(k string, _ []byte) bool { ks = append(ks, k); return true })
+				var km, kh []string
+				ref.IterPrefix(prefix, func(k string, _ []byte) bool { km = append(km, k); return true })
 				kv.IterPrefix(prefix, func(k string, _ []byte) bool { kh = append(kh, k); return true })
-				if !reflect.DeepEqual(ks, kh) {
-					t.Fatalf("seed %d: IterPrefix(%q) single=%v %s=%v", seed, prefix, ks, name, kh)
+				if !reflect.DeepEqual(km, kh) {
+					t.Fatalf("seed %d: IterPrefix(%q) model=%v %s=%v", seed, prefix, km, name, kh)
 				}
 			}
 		}
-		for name, kv := range others {
-			if name == "sharded" {
-				continue
-			}
+		for name, kv := range kvs {
 			if err := kv.Close(); err != nil {
 				t.Fatalf("seed %d: close reopened %s: %v", seed, name, err)
 			}
@@ -415,7 +453,7 @@ func TestOpenDefaultEngine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DefaultEngine(): %v", err)
 	}
-	if def != EngineSingle && def != EngineSharded && def != EnginePersist && def != EngineMapWAL {
+	if def != EngineSharded && def != EnginePersist {
 		t.Fatalf("DefaultEngine() = %q", def)
 	}
 	kv, err := Open(Config{})
@@ -424,18 +462,8 @@ func TestOpenDefaultEngine(t *testing.T) {
 	}
 	defer kv.Close()
 	switch def {
-	case EngineSingle:
-		if _, ok := kv.(*Single); !ok {
-			t.Fatalf("default engine %q opened %T", def, kv)
-		}
 	case EnginePersist:
 		p, ok := kv.(*Persist)
-		if !ok {
-			t.Fatalf("default engine %q opened %T", def, kv)
-		}
-		defer os.RemoveAll(p.Dir())
-	case EngineMapWAL:
-		p, ok := kv.(*MapWAL)
 		if !ok {
 			t.Fatalf("default engine %q opened %T", def, kv)
 		}
