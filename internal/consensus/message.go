@@ -57,7 +57,8 @@ type Message struct {
 	Payload []byte `json:"payload,omitempty"`
 
 	// PrePrepareEvidence embeds the leader-signed pre-prepare a replica is
-	// preparing, so peers can detect leader equivocation conclusively.
+	// preparing, payload stripped, so peers can detect leader equivocation
+	// conclusively at a size that does not grow with the batch.
 	PrePrepareEvidence []byte `json:"pre_prepare_evidence,omitempty"`
 
 	// Proofs carries the 2f+1 view-change messages justifying a NewView.
@@ -96,8 +97,13 @@ func (m *Message) computeSigningBytes() []byte {
 	buf = append(buf, m.Digest[:]...)
 	buf = append(buf, []byte(m.From)...)
 	// Payload and evidence are bound via hashes so signatures stay small.
-	ph := sha256.Sum256(m.Payload)
-	buf = append(buf, ph[:]...)
+	// A pre-prepare's payload is bound by Digest instead (receivers drop a
+	// pre-prepare whose payload does not hash to it), so the leader's
+	// signature survives stripping the payload for use as evidence.
+	if m.Type != MsgPrePrepare {
+		ph := sha256.Sum256(m.Payload)
+		buf = append(buf, ph[:]...)
+	}
 	eh := sha256.Sum256(m.PrePrepareEvidence)
 	buf = append(buf, eh[:]...)
 	for _, p := range m.Proofs {

@@ -67,7 +67,8 @@ type instance struct {
 	view       uint64
 	digest     [32]byte
 	payload    []byte
-	prePrepare []byte // leader-signed pre-prepare, encoded, for evidence
+	prePrepare []byte // leader-signed pre-prepare, payload stripped, encoded, for evidence
+	leader     string // signer of prePrepare
 	prepares   map[string]bool
 	commits    map[string]bool
 	sentCommit bool
@@ -639,7 +640,10 @@ func (v *Validator) onPrePrepare(m *Message) {
 			inst.prepares = make(map[string]bool)
 			inst.commits = make(map[string]bool)
 		}
-		inst.prePrepare = m.Encode()
+		evidence := *m
+		evidence.Payload = nil
+		inst.prePrepare = evidence.Encode()
+		inst.leader = m.From
 		inst.payload = m.Payload
 		inst.digest = m.Digest
 		// The leader's pre-prepare counts as its prepare vote.
@@ -689,7 +693,7 @@ func (v *Validator) applyPrepare(m *Message) {
 }
 
 // checkEquivocationEvidence inspects the embedded pre-prepare for conflict
-// with what we received from the leader. Caller holds mu.
+// with the one we accepted from the leader. Caller holds mu.
 func (v *Validator) checkEquivocationEvidence(m *Message) {
 	if len(m.PrePrepareEvidence) == 0 {
 		return
@@ -698,25 +702,20 @@ func (v *Validator) checkEquivocationEvidence(m *Message) {
 	if err != nil || pp.Type != MsgPrePrepare {
 		return
 	}
-	leader := pp.From
-	id, ok := v.cfg.Identities[leader]
+	id, ok := v.cfg.Identities[pp.From]
 	// Cached: the same leader-signed evidence arrives embedded in every
 	// replica's prepare, so only the first of 2f+1 copies pays the verify.
 	if !ok || !v.verifyCache.Verify(id, pp.SigningBytes(), pp.Signature) {
 		return
 	}
 	inst, ok := v.insts[pp.Seq]
-	if !ok || inst.view != pp.View || len(inst.prePrepare) == 0 {
+	if !ok || inst.view != pp.View || len(inst.prePrepare) == 0 || inst.leader != pp.From {
 		return
 	}
-	local, err := DecodeMessage(inst.prePrepare)
-	if err != nil || local.From != leader {
-		return
-	}
-	if local.Digest != pp.Digest {
+	if inst.digest != pp.Digest {
 		// Two validly signed pre-prepares from the same leader for the same
 		// (view, seq) with different digests.
-		v.evict(leader)
+		v.evict(pp.From)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"socialchain/internal/ledger"
+	"socialchain/internal/metrics"
 	"socialchain/internal/obs"
 	"socialchain/internal/sim"
 )
@@ -96,12 +97,35 @@ type Service struct {
 	mu       sync.Mutex
 	pending  []ledger.Transaction
 	bytes    int
-	oldest   time.Time
+	oldest   time.Time // when the first pending tx entered the empty batch
 	stopped  bool
 	stopCh   chan struct{}
 	doneCh   chan struct{}
 	proposed int
+
+	// rearm wakes the loop when the pending batch's deadline moves: a tx
+	// started a batch (the tx that overflows a bytes cut always does), or
+	// a count cut emptied one. Buffered so Submit never blocks and
+	// repeated moves coalesce.
+	rearm chan struct{}
+
+	// cuts counts cut batches by reason; wait observes the oldest tx's
+	// age at each cut. Dangling until Observe registers them.
+	cuts [numCutReasons]*metrics.Counter
+	wait *obs.Histogram
 }
+
+// cutReason names what made the cutter cut a batch.
+type cutReason int
+
+const (
+	cutCount cutReason = iota
+	cutBytes
+	cutTimeout
+	numCutReasons
+)
+
+var cutReasonNames = [numCutReasons]string{"count", "bytes", "timeout"}
 
 // NewService creates an ordering front-end over a batch proposer
 // (normally a consensus validator).
@@ -110,13 +134,16 @@ func NewService(cfg CutterConfig, v Proposer, clock sim.Clock) *Service {
 	if clock == nil {
 		clock = sim.RealClock{}
 	}
-	return &Service{
+	s := &Service{
 		cfg:       cfg,
 		validator: v,
 		clock:     clock,
 		stopCh:    make(chan struct{}),
 		doneCh:    make(chan struct{}),
+		rearm:     make(chan struct{}, 1),
 	}
+	s.Observe(nil) // dangling instruments until a registry is attached
+	return s
 }
 
 // Start launches the batch-timeout loop.
@@ -151,21 +178,32 @@ func (s *Service) Submit(tx ledger.Transaction) error {
 		return ErrBacklog
 	}
 	size := len(tx.Bytes())
-	if len(s.pending) == 0 {
-		s.oldest = s.clock.Now()
-	}
 	// Cut on byte overflow before appending.
 	if s.bytes+size > s.cfg.MaxBytes && len(s.pending) > 0 {
-		s.cutLocked()
+		s.cutLocked(cutBytes)
+	}
+	// The batch's age starts when a tx lands in it empty, so a tx that
+	// follows a bytes cut does not inherit the cut batch's age.
+	moved := false
+	if len(s.pending) == 0 {
+		s.oldest = s.clock.Now()
+		moved = true
 	}
 	s.pending = append(s.pending, tx)
 	s.bytes += size
 	var cut Batch
 	doCut := false
 	if len(s.pending) >= s.cfg.MaxMessages {
-		cut, doCut = s.takeLocked()
+		cut, doCut = s.takeLocked(cutCount)
+		moved = true
 	}
 	s.mu.Unlock()
+	if moved {
+		select {
+		case s.rearm <- struct{}{}:
+		default:
+		}
+	}
 	if doCut {
 		s.propose(cut)
 	}
@@ -173,8 +211,8 @@ func (s *Service) Submit(tx ledger.Transaction) error {
 }
 
 // cutLocked proposes the current pending batch; caller holds mu.
-func (s *Service) cutLocked() {
-	batch, ok := s.takeLocked()
+func (s *Service) cutLocked(why cutReason) {
+	batch, ok := s.takeLocked(why)
 	if !ok {
 		return
 	}
@@ -183,10 +221,14 @@ func (s *Service) cutLocked() {
 	s.mu.Lock()
 }
 
-func (s *Service) takeLocked() (Batch, bool) {
+// takeLocked empties the pending batch and records why and how long its
+// oldest tx waited; caller holds mu.
+func (s *Service) takeLocked(why cutReason) (Batch, bool) {
 	if len(s.pending) == 0 {
 		return Batch{}, false
 	}
+	s.cuts[why].Inc()
+	s.wait.Observe(s.clock.Now().Sub(s.oldest))
 	batch := Batch{Txs: s.pending}
 	s.pending = nil
 	s.bytes = 0
@@ -201,7 +243,9 @@ func (s *Service) propose(b Batch) {
 }
 
 // Observe publishes the service's cutter instrumentation into an obs
-// registry: queue depth (the backpressure picture) and batches proposed.
+// registry: queue depth (the backpressure picture), batches proposed,
+// batches cut by reason and the oldest tx's wait at each cut — the share
+// of a commit wait the cutter accounts for.
 func (s *Service) Observe(reg *obs.Registry) {
 	reg.GaugeFunc("ordering_pending_txs", "Transactions buffered awaiting a batch cut.", func() float64 {
 		return float64(s.PendingTxs())
@@ -209,6 +253,12 @@ func (s *Service) Observe(reg *obs.Registry) {
 	reg.CounterFunc("ordering_batches_proposed_total", "Batches proposed to consensus.", func() int64 {
 		return int64(s.Proposed())
 	})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for why, name := range cutReasonNames {
+		s.cuts[why] = reg.Counter("ordering_batches_cut_total", "Batches cut, by what triggered the cut.", obs.L("reason", name))
+	}
+	s.wait = reg.Histogram("ordering_batch_wait_seconds", "Age of a batch's oldest transaction when the batch is cut.", nil)
 }
 
 // Proposed reports how many batches this service has proposed.
@@ -225,22 +275,37 @@ func (s *Service) PendingTxs() int {
 	return len(s.pending)
 }
 
+// loop cuts a batch exactly BatchTimeout after its first tx arrived. It
+// holds one timer while a batch is pending and none while the queue is
+// empty; Submit wakes it through rearm whenever the deadline moves.
 func (s *Service) loop() {
 	defer close(s.doneCh)
-	tick := s.cfg.BatchTimeout / 2
-	if tick <= 0 {
-		tick = 10 * time.Millisecond
-	}
+	var timer <-chan time.Time
 	for {
 		select {
 		case <-s.stopCh:
 			return
-		case <-s.clock.After(tick):
+		case <-s.rearm:
+		case <-timer:
 			s.mu.Lock()
+			// The timer may be stale: a count or bytes cut can have replaced
+			// the batch it was armed for by a younger one.
 			if len(s.pending) > 0 && s.clock.Now().Sub(s.oldest) >= s.cfg.BatchTimeout {
-				s.cutLocked()
+				s.cutLocked(cutTimeout)
 			}
 			s.mu.Unlock()
 		}
+		timer = s.arm()
 	}
+}
+
+// arm returns a channel that fires when the pending batch times out, or
+// nil — never ready in a select — when nothing is pending.
+func (s *Service) arm() <-chan time.Time {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.pending) == 0 {
+		return nil
+	}
+	return s.clock.After(s.oldest.Add(s.cfg.BatchTimeout).Sub(s.clock.Now()))
 }
